@@ -97,18 +97,24 @@ func TestErrors(t *testing.T) {
 	cases := [][]string{
 		{},                      // missing -experiment
 		{"-experiment", "nope"}, // unknown experiment
-		{"-experiment", "fig4", "-scale", "huge"},   // unknown scale
-		{"-experiment", "fig4", "-format", "xml"},   // unknown format
-		{"-experiment", "fig4", "-workers", "0"},    // zero workers
-		{"-experiment", "fig4", "-workers", "-3"},   // negative workers
-		{"-scale", "huge", "-experiment", "fig4"},   // order must not matter
-		{"bench", "-workers", "0"},                  // bench: zero workers
-		{"bench", "-scale", "huge"},                 // bench: unknown scale
-		{"bench", "-threshold", "0"},                // bench: bad threshold
-		{"bench", "-repeats", "0"},                  // bench: bad repeats
-		{"bench", "-out", ""},                       // bench: empty output path
-		{"bench", "stray"},                          // bench: positional junk
-		{"bench", "-baseline", "/nonexistent.json"}, // bench: missing baseline
+		{"-experiment", "fig4", "-scale", "huge"},                   // unknown scale
+		{"-experiment", "fig4", "-format", "xml"},                   // unknown format
+		{"-experiment", "fig4", "-workers", "0"},                    // zero workers
+		{"-experiment", "fig4", "-workers", "-3"},                   // negative workers
+		{"-scale", "huge", "-experiment", "fig4"},                   // order must not matter
+		{"-experiment", "fig13", "-energy", "NaN"},                  // non-finite battery
+		{"-experiment", "fig13", "-energy", "+Inf"},                 // non-finite battery
+		{"-experiment", "fig13", "-energy", "-1"},                   // negative battery
+		{"-experiment", "fig13", "-energy", "1", "-harvest", "NaN"}, // non-finite harvest
+		{"-experiment", "fig13", "-harvest", "0.01"},                // harvest without a battery
+		{"-experiment", "fig13", "-protocol", "olaa"},               // unknown protocol
+		{"bench", "-workers", "0"},                                  // bench: zero workers
+		{"bench", "-scale", "huge"},                                 // bench: unknown scale
+		{"bench", "-threshold", "0"},                                // bench: bad threshold
+		{"bench", "-repeats", "0"},                                  // bench: bad repeats
+		{"bench", "-out", ""},                                       // bench: empty output path
+		{"bench", "stray"},                                          // bench: positional junk
+		{"bench", "-baseline", "/nonexistent.json"},                 // bench: missing baseline
 	}
 	for _, args := range cases {
 		var sb strings.Builder
@@ -522,6 +528,10 @@ func TestSubcommandErrors(t *testing.T) {
 		{"sweep", "-outstanding", "0"},                          // zero outstanding leases
 		{"sweep", "-lease-ttl", "-3s"},                          // negative lease TTL
 		{"sweep", "-distribute", "bad:addr:99"},                 // unbindable coordinator address
+		{"sweep", "-energy", "NaN"},                             // non-finite battery
+		{"trace", "-scenario", "fig13", "-energy", "+Inf"},      // non-finite battery
+		{"trace", "-scenario", "fig13", "-harvest", "0.01"},     // harvest without a battery
+		{"trace", "-scenario", "fig13", "-protocol", "olaa"},    // unknown protocol
 		{"serve", "stray"},                                      // positional junk
 		{"serve", "-cache-shards", "0"},                         // bad shard count
 		{"serve", "-cache-entries", "1"},                        // capacity below shards

@@ -40,9 +40,6 @@ func runSweep(ctx context.Context, args []string, out, errOut io.Writer) error {
 		scaleName     = fs.String("scale", "quick", "scenario scale: quick, paper, bench, or large")
 		format        = fs.String("format", "table", "output format: table, csv, json, or ndjson")
 		seed          = fs.Uint64("seed", 1, "root random seed")
-		protoName     = fs.String("protocol", "", "broadcast protocol for network scenarios: pbbf (default), sleepsched, or ola")
-		energyJ       = fs.Float64("energy", 0, "mean initial battery capacity in joules for network scenarios (0 = infinite battery)")
-		harvestW      = fs.Float64("harvest", 0, "constant per-node energy-harvest rate in watts (requires -energy)")
 		workers       = fs.Int("workers", runtime.GOMAXPROCS(0), "worker pool size for the point sweep (local mode; -distribute uses -outstanding)")
 		checkpoint    = fs.String("checkpoint", "", "checkpoint file for resumable runs (empty = no persistence)")
 		progress      = fs.Bool("progress", true, "periodic JSON progress summaries (done/total, rate, ETA) on stderr")
@@ -52,6 +49,7 @@ func runSweep(ctx context.Context, args []string, out, errOut io.Writer) error {
 		leaseTTL      = fs.Duration("lease-ttl", dist.DefaultLeaseTTL, "how long workers hold leased points before requeue (distributed mode)")
 		outstanding   = fs.Int("outstanding", 256, "max points leased out concurrently (distributed mode)")
 		verbose       = fs.Bool("verbose", false, "structured access log for coordinator requests on stderr (distributed mode)")
+		axes          = scenario.AxisFlags(fs)
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -73,11 +71,7 @@ func runSweep(ctx context.Context, args []string, out, errOut io.Writer) error {
 		return err
 	}
 	scale.Seed = *seed
-	if scale.Protocol, err = resolveProtocol(*protoName); err != nil {
-		return err
-	}
-	scale.EnergyJ = *energyJ
-	scale.HarvestW = *harvestW
+	scale.Axes = *axes
 	if err := scale.Validate(); err != nil {
 		return err
 	}
@@ -124,7 +118,7 @@ func runSweep(ctx context.Context, args []string, out, errOut io.Writer) error {
 		if *verbose {
 			accessLog = errOut
 		}
-		srv, err := server.New(server.Config{
+		srv, err := server.New(server.Options{
 			Registry:    reg,
 			Coordinator: coord,
 			AccessLog:   accessLog,
@@ -165,14 +159,11 @@ func runSweep(ctx context.Context, args []string, out, errOut io.Writer) error {
 	}
 
 	// Load or create the checkpoint. Identity (experiment, scale, seed,
-	// protocol, energy axis) must match: resuming a different workload from
-	// recorded results would silently mix runs.
+	// axes) must match: resuming a different workload from recorded
+	// results would silently mix runs.
 	var cp *scenario.Checkpoint
 	if *checkpoint != "" {
-		id := scenario.Identity{
-			Experiment: *experiment, Scale: *scaleName, Seed: *seed,
-			Protocol: scale.Protocol, EnergyJ: scale.EnergyJ, HarvestW: scale.HarvestW,
-		}
+		id := scenario.Identity{Experiment: *experiment, Scale: *scaleName, Seed: *seed, Axes: scale.Axes}
 		cp, err = scenario.LoadCheckpoint(*checkpoint)
 		if err != nil {
 			return err

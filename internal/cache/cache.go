@@ -1,11 +1,11 @@
 // Package cache is a content-addressed, sharded result cache for pure
 // computations. Keys are canonical strings (see scenario.PointKey); values
 // are whatever the computation produces. The key space is split across N
-// independently locked shards by FNV-1a hash, each shard bounds its entry
-// count with LRU eviction, and concurrent requests for the same key are
-// de-duplicated singleflight-style: one caller computes, the rest wait and
-// share the result. Hit, miss, in-flight-join, and eviction counters make
-// the cache's behavior observable (served by /v1/stats).
+// independently locked shards by FNV-1a hash, and each shard bounds its
+// entry count with LRU eviction. Hit, miss, and eviction counters make the
+// cache's behavior observable (served by /v1/stats). De-duplicating
+// concurrent computations of one key is store.Flight's job, not the
+// cache's.
 package cache
 
 import (
@@ -20,8 +20,9 @@ type Stats struct {
 	Hits uint64 `json:"hits"`
 	// Misses counts lookups that had to compute.
 	Misses uint64 `json:"misses"`
-	// InflightJoins counts lookups that joined another caller's in-flight
-	// computation instead of computing themselves.
+	// InflightJoins is always zero: the cache runs no computations
+	// (store.Flight counts joins). The field keeps the wire shape of the
+	// "cache" object in /v1/stats and the run stream.
 	InflightJoins uint64 `json:"inflight_joins"`
 	// Evictions counts entries dropped by the per-shard LRU bound.
 	Evictions uint64 `json:"evictions"`
@@ -33,21 +34,17 @@ type Stats struct {
 	Shards int `json:"shards"`
 }
 
-// Cache is a sharded LRU cache with singleflight de-duplication. The zero
-// value is not usable; construct with New.
+// Cache is a sharded LRU cache. The zero value is not usable; construct
+// with New.
 type Cache[V any] struct {
 	shards []shard[V]
 }
 
-// entry is one cached (or in-flight) computation. done is closed when the
-// computation finishes; until then val/err are owned by the computing
-// goroutine. prev/next thread the shard's LRU list (most recent at head).
+// entry is one cached value. prev/next thread the shard's LRU list (most
+// recent at head).
 type entry[V any] struct {
 	key        string
 	val        V
-	err        error
-	done       chan struct{}
-	computed   bool
 	prev, next *entry[V]
 }
 
@@ -58,7 +55,7 @@ type shard[V any] struct {
 	head, tail *entry[V]
 	capacity   int
 
-	hits, misses, joins, evictions uint64
+	hits, misses, evictions uint64
 }
 
 // New returns a cache with the given shard count and total entry capacity,
@@ -81,62 +78,12 @@ func New[V any](shards, capacity int) (*Cache[V], error) {
 	return c, nil
 }
 
-// GetOrCompute returns the value cached under key, computing it with
-// compute on a miss. Concurrent calls with the same key compute once: the
-// first caller runs compute, the rest block until it finishes and share
-// the outcome. cached reports whether the result existed before this call
-// (a hit or an in-flight join). Errors are returned to every waiting
-// caller but never cached — the next request retries.
-func (c *Cache[V]) GetOrCompute(key string, compute func() (V, error)) (val V, cached bool, err error) {
-	sh := &c.shards[fnv1a(key)%uint64(len(c.shards))]
-
-	sh.mu.Lock()
-	if e, ok := sh.entries[key]; ok {
-		if e.computed {
-			sh.hits++
-			sh.moveToFront(e)
-			sh.mu.Unlock()
-			return e.val, true, nil
-		}
-		sh.joins++
-		sh.mu.Unlock()
-		<-e.done
-		// The leader removed the entry on error; its outcome still lives
-		// in the entry we hold.
-		return e.val, e.err == nil, e.err
-	}
-	e := &entry[V]{key: key, done: make(chan struct{})}
-	sh.misses++
-	sh.entries[key] = e
-	sh.pushFront(e)
-	sh.mu.Unlock()
-
-	e.val, e.err = compute()
-
-	sh.mu.Lock()
-	if e.err != nil {
-		// Failed computations are not cached: unlink so the next request
-		// recomputes instead of replaying the error forever.
-		sh.unlink(e)
-		delete(sh.entries, key)
-	} else {
-		e.computed = true
-		sh.evict()
-	}
-	sh.mu.Unlock()
-	close(e.done)
-	return e.val, false, e.err
-}
-
-// Get returns the completed value cached under key. It never blocks: an
-// entry still being computed by a GetOrCompute leader counts as a miss.
-// Hits and misses feed the same counters as GetOrCompute, so a cache used
-// through Get/Put (the store.Store tier API) stays observable.
+// Get returns the value cached under key, counting the hit or miss.
 func (c *Cache[V]) Get(key string) (V, bool) {
 	sh := &c.shards[fnv1a(key)%uint64(len(c.shards))]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if e, ok := sh.entries[key]; ok && e.computed {
+	if e, ok := sh.entries[key]; ok {
 		sh.hits++
 		sh.moveToFront(e)
 		return e.val, true
@@ -146,24 +93,18 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 	return zero, false
 }
 
-// Put stores a completed value under key, evicting LRU entries as needed.
-// An existing completed entry is overwritten in place; an in-flight entry
-// (a GetOrCompute leader mid-computation) is left alone — the leader owns
-// it and will publish the identical value, since keys address pure
-// computations.
+// Put stores a value under key, overwriting in place or evicting LRU
+// entries as needed.
 func (c *Cache[V]) Put(key string, val V) {
 	sh := &c.shards[fnv1a(key)%uint64(len(c.shards))]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if e, ok := sh.entries[key]; ok {
-		if e.computed {
-			e.val = val
-			sh.moveToFront(e)
-		}
+		e.val = val
+		sh.moveToFront(e)
 		return
 	}
-	e := &entry[V]{key: key, val: val, computed: true, done: make(chan struct{})}
-	close(e.done)
+	e := &entry[V]{key: key, val: val}
 	sh.entries[key] = e
 	sh.pushFront(e)
 	sh.evict()
@@ -178,7 +119,6 @@ func (c *Cache[V]) Stats() Stats {
 		sh.mu.Lock()
 		s.Hits += sh.hits
 		s.Misses += sh.misses
-		s.InflightJoins += sh.joins
 		s.Evictions += sh.evictions
 		s.Entries += len(sh.entries)
 		s.Capacity += sh.capacity
@@ -204,18 +144,11 @@ func (c *Cache[V]) shardFor(key string) int {
 	return int(fnv1a(key) % uint64(len(c.shards)))
 }
 
-// evict drops least-recently-used completed entries until the shard is
-// within capacity. In-flight entries are never evicted: other callers may
-// be blocked on their done channel.
+// evict drops least-recently-used entries until the shard is within
+// capacity.
 func (sh *shard[V]) evict() {
 	for len(sh.entries) > sh.capacity {
 		victim := sh.tail
-		for victim != nil && !victim.computed {
-			victim = victim.prev
-		}
-		if victim == nil {
-			return // everything over capacity is in flight
-		}
 		sh.unlink(victim)
 		delete(sh.entries, victim.key)
 		sh.evictions++

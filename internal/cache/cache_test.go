@@ -1,12 +1,9 @@
 package cache
 
 import (
-	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func mustNew(t *testing.T, shards, capacity int) *Cache[int] {
@@ -30,119 +27,25 @@ func TestNewValidates(t *testing.T) {
 	}
 }
 
-func TestGetOrComputeHitAndMiss(t *testing.T) {
-	c := mustNew(t, 4, 16)
-	calls := 0
-	compute := func() (int, error) { calls++; return 42, nil }
-
-	v, cached, err := c.GetOrCompute("k", compute)
-	if err != nil || v != 42 || cached {
-		t.Fatalf("first call: v=%d cached=%v err=%v", v, cached, err)
-	}
-	v, cached, err = c.GetOrCompute("k", compute)
-	if err != nil || v != 42 || !cached {
-		t.Fatalf("second call: v=%d cached=%v err=%v", v, cached, err)
-	}
-	if calls != 1 {
-		t.Fatalf("compute ran %d times, want 1", calls)
-	}
-	st := c.Stats()
-	if st.Hits != 1 || st.Misses != 1 || st.Entries != 1 {
-		t.Fatalf("stats %+v", st)
-	}
-}
-
-func TestErrorsAreNotCached(t *testing.T) {
-	c := mustNew(t, 2, 8)
-	boom := errors.New("boom")
-	calls := 0
-	fail := func() (int, error) { calls++; return 0, boom }
-
-	if _, _, err := c.GetOrCompute("k", fail); !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
-	}
-	if _, _, err := c.GetOrCompute("k", fail); !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
-	}
-	if calls != 2 {
-		t.Fatalf("failed compute cached (ran %d times, want 2)", calls)
-	}
-	if n := c.Len(); n != 0 {
-		t.Fatalf("failed entries remain cached: %d", n)
-	}
-	// The key still works once the computation succeeds.
-	if v, _, err := c.GetOrCompute("k", func() (int, error) { return 7, nil }); err != nil || v != 7 {
-		t.Fatalf("recovery failed: v=%d err=%v", v, err)
-	}
-}
-
-func TestSingleflight(t *testing.T) {
-	c := mustNew(t, 4, 16)
-	const callers = 32
-	var (
-		computes atomic.Int32
-		release  = make(chan struct{})
-		start    sync.WaitGroup
-		done     sync.WaitGroup
-	)
-	start.Add(callers)
-	done.Add(callers)
-	for i := 0; i < callers; i++ {
-		go func() {
-			defer done.Done()
-			start.Done()
-			start.Wait() // maximize overlap
-			v, _, err := c.GetOrCompute("shared", func() (int, error) {
-				computes.Add(1)
-				<-release // hold every concurrent caller in the join path
-				return 99, nil
-			})
-			if err != nil || v != 99 {
-				t.Errorf("v=%d err=%v", v, err)
-			}
-		}()
-	}
-	start.Wait()
-	close(release)
-	done.Wait()
-
-	if n := computes.Load(); n != 1 {
-		t.Fatalf("concurrent identical requests computed %d times, want 1", n)
-	}
-	st := c.Stats()
-	if st.Misses != 1 {
-		t.Fatalf("misses = %d, want 1", st.Misses)
-	}
-	if st.InflightJoins+st.Hits != callers-1 {
-		t.Fatalf("joins+hits = %d+%d, want %d", st.InflightJoins, st.Hits, callers-1)
-	}
-}
-
 func TestLRUEviction(t *testing.T) {
 	// One shard isolates the LRU order from hashing.
 	c := mustNew(t, 1, 3)
-	put := func(k string, v int) {
-		t.Helper()
-		if _, _, err := c.GetOrCompute(k, func() (int, error) { return v, nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	put("a", 1)
-	put("b", 2)
-	put("c", 3)
-	put("a", 1) // touch a: LRU order is now b, c, a
-	put("d", 4) // evicts b
+	c.Put("a", 1)
+	c.Put("b", 2)
+	c.Put("c", 3)
+	c.Get("a")    // touch a: LRU order is now b, c, a
+	c.Put("d", 4) // evicts b
 
 	if st := c.Stats(); st.Evictions != 1 || st.Entries != 3 {
 		t.Fatalf("stats %+v", st)
 	}
-	calls := 0
-	if _, cached, _ := c.GetOrCompute("b", func() (int, error) { calls++; return 2, nil }); cached || calls != 1 {
+	if _, ok := c.Get("b"); ok {
 		t.Fatal("LRU victim b still cached")
 	}
+	c.Put("b", 2)
 	// b's insert evicted c (the new LRU); a and d must still be resident.
 	for _, k := range []string{"a", "d"} {
-		if _, cached, _ := c.GetOrCompute(k, func() (int, error) { return 0, nil }); !cached {
+		if _, ok := c.Get(k); !ok {
 			t.Fatalf("recently used %q was evicted", k)
 		}
 	}
@@ -193,10 +96,10 @@ func TestConcurrentMixedKeys(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				k := fmt.Sprintf("k%d", i%50)
-				v, _, err := c.GetOrCompute(k, func() (int, error) { return i % 50, nil })
-				if err != nil || v != i%50 {
-					t.Errorf("k=%s v=%d err=%v", k, v, err)
+				if v, ok := c.Get(k); ok && v != i%50 {
+					t.Errorf("k=%s v=%d", k, v)
 				}
+				c.Put(k, i%50)
 			}
 		}(g)
 	}
@@ -206,9 +109,40 @@ func TestConcurrentMixedKeys(t *testing.T) {
 	}
 }
 
-// TestGetPut covers the non-computing tier API (store.Store's memory
-// backend): Put publishes immediately, Get never blocks, both feed the
-// hit/miss counters, and Put respects the LRU bound.
+// TestGetOrComputeHitAndMiss walks the get-or-compute cycle a caching
+// tier runs on top of Get/Put: the first lookup misses and computes, the
+// second is served from the cache without computing again.
+func TestGetOrComputeHitAndMiss(t *testing.T) {
+	c := mustNew(t, 4, 16)
+	calls := 0
+	compute := func() int { calls++; return 42 }
+	getOrCompute := func(key string) (int, bool) {
+		if v, ok := c.Get(key); ok {
+			return v, true
+		}
+		v := compute()
+		c.Put(key, v)
+		return v, false
+	}
+
+	if v, cached := getOrCompute("k"); v != 42 || cached {
+		t.Fatalf("first call: v=%d cached=%v", v, cached)
+	}
+	if v, cached := getOrCompute("k"); v != 42 || !cached {
+		t.Fatalf("second call: v=%d cached=%v", v, cached)
+	}
+	if calls != 1 {
+		t.Fatalf("compute ran %d times, want 1", calls)
+	}
+	st := c.Stats()
+	if st.Hits != 1 || st.Misses != 1 || st.Entries != 1 {
+		t.Fatalf("stats %+v", st)
+	}
+}
+
+// TestGetPut covers the tier API (store.Store's memory backend): Put
+// publishes immediately, Get counts hits and misses, and Put respects the
+// LRU bound.
 func TestGetPut(t *testing.T) {
 	c := mustNew(t, 2, 4)
 	if _, ok := c.Get("a"); ok {
@@ -224,7 +158,7 @@ func TestGetPut(t *testing.T) {
 		t.Fatalf("after overwrite: %d ok=%v len=%d", v, ok, c.Len())
 	}
 	st := c.Stats()
-	if st.Hits != 2 || st.Misses != 1 {
+	if st.Hits != 2 || st.Misses != 1 || st.Entries != 1 {
 		t.Fatalf("stats %+v", st)
 	}
 	// Put evicts beyond capacity.
@@ -236,52 +170,5 @@ func TestGetPut(t *testing.T) {
 	}
 	if c.Stats().Evictions == 0 {
 		t.Fatal("no evictions counted")
-	}
-}
-
-// TestGetDoesNotBlockOnInflight: a Get racing a GetOrCompute leader must
-// see a miss, not wait for the computation.
-func TestGetDoesNotBlockOnInflight(t *testing.T) {
-	c := mustNew(t, 1, 4)
-	started := make(chan struct{})
-	release := make(chan struct{})
-	go c.GetOrCompute("slow", func() (int, error) {
-		close(started)
-		<-release
-		return 9, nil
-	})
-	<-started
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if _, ok := c.Get("slow"); ok {
-			t.Error("in-flight entry served as a hit")
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("Get blocked on an in-flight computation")
-	}
-	close(release)
-}
-
-// TestPutThenGetOrCompute: a value Put through the tier API is a hit for
-// the computing API, and vice versa — one cache, two entry points.
-func TestPutThenGetOrCompute(t *testing.T) {
-	c := mustNew(t, 2, 8)
-	c.Put("x", 7)
-	v, cached, err := c.GetOrCompute("x", func() (int, error) {
-		t.Error("computed despite Put")
-		return 0, nil
-	})
-	if err != nil || !cached || v != 7 {
-		t.Fatalf("GetOrCompute after Put: %d cached=%v err=%v", v, cached, err)
-	}
-	if _, _, err := c.GetOrCompute("y", func() (int, error) { return 3, nil }); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := c.Get("y"); !ok || v != 3 {
-		t.Fatalf("Get after GetOrCompute: %d ok=%v", v, ok)
 	}
 }

@@ -81,7 +81,7 @@ func marshalOutputs(t *testing.T, outs []scenario.Output) []byte {
 func runDistributed(t *testing.T, reg *scenario.Registry, s scenario.Scale, workers int, killOne bool) []byte {
 	t.Helper()
 	coord := dist.NewCoordinator(dist.Config{LeaseTTL: 300 * time.Millisecond})
-	srv, err := server.New(server.Config{Registry: reg, Coordinator: coord})
+	srv, err := server.New(server.Options{Registry: reg, Coordinator: coord})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestWorkerReregistersAfterCoordinatorRestart(t *testing.T) {
 	reg := eqRegistry(20, time.Millisecond)
 	s := scenario.Quick()
 	newHandler := func(coord *dist.Coordinator) *server.Server {
-		srv, err := server.New(server.Config{Registry: reg, Coordinator: coord})
+		srv, err := server.New(server.Options{Registry: reg, Coordinator: coord})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -298,7 +298,7 @@ func TestWorkerReportsPointFailures(t *testing.T) {
 	coord := dist.NewCoordinator(dist.Config{
 		LeaseTTL: time.Second, MaxPointAttempts: 2, MaxWorkerFailures: 100,
 	})
-	srv, err := server.New(server.Config{Registry: reg, Coordinator: coord})
+	srv, err := server.New(server.Options{Registry: reg, Coordinator: coord})
 	if err != nil {
 		t.Fatal(err)
 	}

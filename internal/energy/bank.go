@@ -65,14 +65,6 @@ func (b *Bank) Init(n int, cfg Config) {
 	clear(b.inState)
 }
 
-// Reset sizes the bank for n infinite-battery nodes, all starting in the
-// given state at time start.
-//
-// Deprecated: use Init with a Config.
-func (b *Bank) Reset(n int, profile Profile, initial State, start time.Duration) {
-	b.Init(n, Config{Profile: profile, Initial: initial, Start: start})
-}
-
 // SetBudget replaces node i's battery budget, recharged to full. Call it
 // after Init and before the account accrues — typically while constructing
 // a fleet with per-node jittered capacities.

@@ -106,14 +106,6 @@ func New(cfg Config) *Meter {
 	}
 }
 
-// NewMeter returns an infinite-battery meter that starts in the given state
-// at time start.
-//
-// Deprecated: use New with a Config.
-func NewMeter(profile Profile, initial State, start time.Duration) *Meter {
-	return New(Config{Profile: profile, Initial: initial, Start: start})
-}
-
 // State returns the current radio state.
 func (m *Meter) State() State { return m.state }
 

@@ -10,10 +10,10 @@ import (
 
 func TestDiversityConfigValidation(t *testing.T) {
 	mutations := []func(*Config){
-		func(c *Config) { c.LinkLossMean = -0.1 },
-		func(c *Config) { c.LinkLossMean = 0.5 },
-		func(c *Config) { c.ChurnFailFraction = -0.1 },
-		func(c *Config) { c.ChurnFailFraction = 1 },
+		func(c *Config) { c.Loss.LinkMean = -0.1 },
+		func(c *Config) { c.Loss.LinkMean = 0.5 },
+		func(c *Config) { c.Churn.FailFraction = -0.1 },
+		func(c *Config) { c.Churn.FailFraction = 1 },
 		func(c *Config) { c.Hetero.QSpread = -1 },
 		func(c *Config) { c.Hetero.PSpread = 2 },
 	}
@@ -25,8 +25,8 @@ func TestDiversityConfigValidation(t *testing.T) {
 		}
 	}
 	ok := scenario(t, core.PSM(), 20, 10, 1)
-	ok.LinkLossMean = 0.3
-	ok.ChurnFailFraction = 0.5
+	ok.Loss.LinkMean = 0.3
+	ok.Churn.FailFraction = 0.5
 	ok.Hetero = mac.HeteroConfig{QSpread: 0.2}
 	if err := ok.Validate(); err != nil {
 		t.Fatal(err)
@@ -35,7 +35,7 @@ func TestDiversityConfigValidation(t *testing.T) {
 
 func TestChurnKillsExpectedCount(t *testing.T) {
 	cfg := scenario(t, core.Params{P: 0.5, Q: 0.5}, 30, 10, 7)
-	cfg.ChurnFailFraction = 0.3
+	cfg.Churn.FailFraction = 0.3
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +57,7 @@ func TestChurnReducesReliability(t *testing.T) {
 		t.Fatal(err)
 	}
 	churning := scenario(t, core.Params{P: 0.5, Q: 0.25}, 30, 10, 11)
-	churning.ChurnFailFraction = 0.4
+	churning.Churn.FailFraction = 0.4
 	resChurn, err := Run(churning)
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +78,7 @@ func TestLinkLossReducesReliability(t *testing.T) {
 		t.Fatal(err)
 	}
 	lossy := scenario(t, core.Params{P: 0.5, Q: 0.25}, 30, 10, 13)
-	lossy.LinkLossMean = 0.4
+	lossy.Loss.LinkMean = 0.4
 	resLossy, err := Run(lossy)
 	if err != nil {
 		t.Fatal(err)
@@ -95,8 +95,8 @@ func TestLinkLossReducesReliability(t *testing.T) {
 func TestDiversityRunsDeterministic(t *testing.T) {
 	build := func() Config {
 		cfg := scenario(t, core.Params{P: 0.5, Q: 0.25}, 30, 10, 17)
-		cfg.LinkLossMean = 0.2
-		cfg.ChurnFailFraction = 0.2
+		cfg.Loss.LinkMean = 0.2
+		cfg.Churn.FailFraction = 0.2
 		cfg.Hetero = mac.HeteroConfig{QSpread: 0.2}
 		return cfg
 	}

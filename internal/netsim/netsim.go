@@ -140,46 +140,12 @@ type Config struct {
 	Trace trace.Sink
 	// Seed drives every coin in the run.
 	Seed uint64
-
-	// Deprecated: LossRate is Loss.Rate under the pre-option-struct API.
-	// The aliases below are folded into their option structs by every
-	// entry point (conflicting non-zero assignments are an error) and are
-	// kept so existing callers — and the seeded point identities derived
-	// from them — stay valid.
-	LossRate float64
-	// Deprecated: LinkLossMean is Loss.LinkMean.
-	LinkLossMean float64
-	// Deprecated: ChurnFailFraction is Churn.FailFraction.
-	ChurnFailFraction float64
 }
 
-// normalized folds the deprecated alias fields into their option structs
-// and threads Protocol into the MAC config, rejecting conflicting
-// assignments. Every entry point (Run, RunPool.Run, Validate) operates on
-// the normalized form, so both spellings behave identically.
+// normalized threads Protocol and Trace into the MAC config, rejecting
+// conflicting assignments. Every entry point (Run, RunPool.Run, Validate)
+// operates on the normalized form.
 func (c Config) normalized() (Config, error) {
-	if c.LossRate != 0 {
-		if c.Loss.Rate != 0 && c.Loss.Rate != c.LossRate {
-			return c, fmt.Errorf("netsim: deprecated LossRate %v conflicts with Loss.Rate %v", c.LossRate, c.Loss.Rate)
-		}
-		c.Loss.Rate = c.LossRate
-		c.LossRate = 0
-	}
-	if c.LinkLossMean != 0 {
-		if c.Loss.LinkMean != 0 && c.Loss.LinkMean != c.LinkLossMean {
-			return c, fmt.Errorf("netsim: deprecated LinkLossMean %v conflicts with Loss.LinkMean %v", c.LinkLossMean, c.Loss.LinkMean)
-		}
-		c.Loss.LinkMean = c.LinkLossMean
-		c.LinkLossMean = 0
-	}
-	if c.ChurnFailFraction != 0 {
-		if c.Churn.FailFraction != 0 && c.Churn.FailFraction != c.ChurnFailFraction {
-			return c, fmt.Errorf("netsim: deprecated ChurnFailFraction %v conflicts with Churn.FailFraction %v",
-				c.ChurnFailFraction, c.Churn.FailFraction)
-		}
-		c.Churn.FailFraction = c.ChurnFailFraction
-		c.ChurnFailFraction = 0
-	}
 	if c.Protocol != (protocol.Spec{}) {
 		if c.MAC.Protocol != (protocol.Spec{}) && c.MAC.Protocol != c.Protocol {
 			return c, fmt.Errorf("netsim: Protocol %q conflicts with MAC.Protocol %q",
@@ -201,7 +167,7 @@ func (c Config) normalized() (Config, error) {
 	return c, nil
 }
 
-// Validate checks the configuration (after alias normalization).
+// Validate checks the normalized configuration.
 func (c Config) Validate() error {
 	c, err := c.normalized()
 	if err != nil {

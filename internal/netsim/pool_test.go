@@ -43,9 +43,9 @@ func poolTestConfigs(t *testing.T) []Config {
 	adaptive := core.DefaultAdaptiveConfig()
 	return []Config{
 		mk(30, 1, nil),
-		mk(24, 2, func(c *Config) { c.LossRate = 0.2 }),
-		mk(24, 3, func(c *Config) { c.LinkLossMean = 0.2 }),
-		mk(24, 4, func(c *Config) { c.ChurnFailFraction = 0.25 }),
+		mk(24, 2, func(c *Config) { c.Loss.Rate = 0.2 }),
+		mk(24, 3, func(c *Config) { c.Loss.LinkMean = 0.2 }),
+		mk(24, 4, func(c *Config) { c.Churn.FailFraction = 0.25 }),
 		mk(24, 5, func(c *Config) { c.Hetero = mac.HeteroConfig{QSpread: 0.2} }),
 		mk(20, 6, func(c *Config) { c.MAC.Adaptive = &adaptive }),
 		mk(24, 7, func(c *Config) {

@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"math"
 	"testing"
 
 	"pbbf/internal/core"
@@ -110,53 +109,5 @@ func TestRivalProtocolsPooledMatchesUnpooled(t *testing.T) {
 			plain.Latency.Mean() != pooled.Latency.Mean() {
 			t.Errorf("%s: pooled diverged from unpooled: %+v vs %+v", spec.Name, plain, pooled)
 		}
-	}
-}
-
-// TestDeprecatedKnobAliases pins the option-struct migration contract: the
-// deprecated flat fields behave exactly like their option-struct spellings,
-// and conflicting non-zero values are rejected rather than silently picked
-// between.
-func TestDeprecatedKnobAliases(t *testing.T) {
-	base := scenario(t, core.Params{P: 0.25, Q: 0.25}, 20, 10, 15)
-
-	alias := base
-	alias.LossRate = 0.2
-	structured := base
-	structured.Loss.Rate = 0.2
-	a, err := Run(alias)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(structured)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.EnergyPerUpdateJ != b.EnergyPerUpdateJ || a.UpdatesReceivedFraction != b.UpdatesReceivedFraction {
-		t.Fatalf("deprecated LossRate diverged from Loss.Rate: %+v vs %+v", a, b)
-	}
-
-	conflicts := []func(*Config){
-		func(c *Config) { c.LossRate = 0.1; c.Loss.Rate = 0.2 },
-		func(c *Config) { c.LinkLossMean = 0.1; c.Loss.LinkMean = 0.2 },
-		func(c *Config) { c.ChurnFailFraction = 0.1; c.Churn.FailFraction = 0.2 },
-	}
-	for i, mutate := range conflicts {
-		cfg := base
-		mutate(&cfg)
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("conflict %d accepted", i)
-		}
-	}
-	// Agreeing values are not a conflict: the alias simply restates the
-	// struct field.
-	agree := base
-	agree.ChurnFailFraction = 0.1
-	agree.Churn.FailFraction = 0.1
-	if err := agree.Validate(); err != nil {
-		t.Errorf("agreeing alias rejected: %v", err)
-	}
-	if math.IsNaN(a.EnergyPerUpdateJ) {
-		t.Fatal("lossy run produced NaN energy")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -34,35 +35,29 @@ type Checkpoint struct {
 
 // Identity is the workload a resumable sweep computes: everything that
 // selects which points exist and what their results are. A checkpoint must
-// never resume a different workload. New axes extend this struct (with a
-// zero value meaning the pre-axis default) instead of growing positional
-// constructor parameters.
+// never resume a different workload.
 type Identity struct {
-	Experiment string
-	Scale      string
-	Seed       uint64
-	// Protocol is the canonical protocol selection the sweep ran under
-	// (empty = PBBF). A PBBF checkpoint must not resume a sleepsched
-	// sweep even when every other flag matches.
-	Protocol string
-	// EnergyJ and HarvestW are the Scale's finite-energy axis
-	// (0 = infinite battery, the only workload older journals describe).
-	EnergyJ  float64
-	HarvestW float64
+	Experiment string `json:"experiment"`
+	Scale      string `json:"scale"`
+	Seed       uint64 `json:"seed"`
+	// Axes are omitted at their defaults, so a default journal written
+	// today keeps the exact header bytes of the earlier formats — old
+	// files load, and default files load in old builds.
+	Axes
 }
 
-// checkpointHeader is the journal's first line. Protocol and the energy
-// fields are omitempty so journals written for the defaults keep the exact
-// header bytes of the earlier formats — old files load, and default files
-// written today load in old builds.
+// String renders the identity as it appears in mismatch errors.
+func (id Identity) String() string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "experiment=%s scale=%s seed=%d", id.Experiment, id.Scale, id.Seed)
+	id.Axes.write(&sb, ' ', false)
+	return sb.String()
+}
+
+// checkpointHeader is the journal's first line.
 type checkpointHeader struct {
-	Version    int     `json:"version"`
-	Experiment string  `json:"experiment"`
-	Scale      string  `json:"scale"`
-	Seed       uint64  `json:"seed"`
-	Protocol   string  `json:"protocol,omitempty"`
-	EnergyJ    float64 `json:"energy_j,omitempty"`
-	HarvestW   float64 `json:"harvest_w,omitempty"`
+	Version int `json:"version"`
+	Identity
 }
 
 // checkpointEntry is one completed point, one journal line.
@@ -80,40 +75,13 @@ func NewCheckpointFor(id Identity) *Checkpoint {
 	}
 }
 
-// NewCheckpoint returns an empty checkpoint for the given run identity
-// with the default (infinite-battery) energy axis.
-//
-// Deprecated: use NewCheckpointFor with an Identity.
-func NewCheckpoint(experiment, scale string, seed uint64, protocol string) *Checkpoint {
-	return NewCheckpointFor(Identity{Experiment: experiment, Scale: scale, Seed: seed, Protocol: protocol})
-}
-
 // MatchesIdentity reports whether the checkpoint was recorded for the same
 // run identity, with a descriptive error when it was not.
 func (c *Checkpoint) MatchesIdentity(id Identity) error {
 	if c.Identity != id {
-		return fmt.Errorf("checkpoint records run (experiment=%s scale=%s seed=%d protocol=%s energy=%g harvest=%g), requested (experiment=%s scale=%s seed=%d protocol=%s energy=%g harvest=%g): delete the file or match its flags",
-			c.Experiment, c.Scale, c.Seed, protoLabel(c.Protocol), c.EnergyJ, c.HarvestW,
-			id.Experiment, id.Scale, id.Seed, protoLabel(id.Protocol), id.EnergyJ, id.HarvestW)
+		return fmt.Errorf("checkpoint records run (%s), requested (%s): delete the file or match its flags", c.Identity, id)
 	}
 	return nil
-}
-
-// Matches reports whether the checkpoint was recorded for the same run
-// identity with the default energy axis.
-//
-// Deprecated: use MatchesIdentity with an Identity.
-func (c *Checkpoint) Matches(experiment, scale string, seed uint64, protocol string) error {
-	return c.MatchesIdentity(Identity{Experiment: experiment, Scale: scale, Seed: seed, Protocol: protocol})
-}
-
-// protoLabel names the default protocol in error messages; an empty string
-// would read like a missing value.
-func protoLabel(p string) string {
-	if p == "" {
-		return "pbbf"
-	}
-	return p
 }
 
 // LoadCheckpoint reads a checkpoint journal. A missing file is not an
@@ -143,10 +111,7 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	if hdr.Version != CheckpointVersion {
 		return nil, fmt.Errorf("checkpoint %s: version %d, want %d", path, hdr.Version, CheckpointVersion)
 	}
-	c := NewCheckpointFor(Identity{
-		Experiment: hdr.Experiment, Scale: hdr.Scale, Seed: hdr.Seed,
-		Protocol: hdr.Protocol, EnergyJ: hdr.EnergyJ, HarvestW: hdr.HarvestW,
-	})
+	c := NewCheckpointFor(hdr.Identity)
 	for i, line := range lines[1:] {
 		var e checkpointEntry
 		if err := json.Unmarshal(line, &e); err != nil {
@@ -171,10 +136,7 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 func (c *Checkpoint) WriteFile(path string) error {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
-	if err := enc.Encode(checkpointHeader{
-		Version: c.Version, Experiment: c.Experiment, Scale: c.Scale, Seed: c.Seed,
-		Protocol: c.Protocol, EnergyJ: c.EnergyJ, HarvestW: c.HarvestW,
-	}); err != nil {
+	if err := enc.Encode(checkpointHeader{c.Version, c.Identity}); err != nil {
 		return err
 	}
 	keys := make([]string, 0, len(c.Results))
@@ -239,10 +201,7 @@ func (c *Checkpoint) OpenWriter(path string) (*CheckpointWriter, error) {
 		}
 	}
 	if size == 0 {
-		hdr, err := json.Marshal(checkpointHeader{
-			Version: c.Version, Experiment: c.Experiment, Scale: c.Scale, Seed: c.Seed,
-			Protocol: c.Protocol, EnergyJ: c.EnergyJ, HarvestW: c.HarvestW,
-		})
+		hdr, err := json.Marshal(checkpointHeader{c.Version, c.Identity})
 		if err != nil {
 			f.Close()
 			return nil, err

@@ -47,9 +47,10 @@ func writeSortedParams(sb *strings.Builder, params map[string]float64, sep byte)
 }
 
 // writeScaleKey serializes every Scale field in a fixed order. The
-// scaleKeyFields test constant pins the field count so adding a Scale
-// dimension without extending this serialization fails the build's tests
-// instead of silently aliasing distinct workloads to one key.
+// scaleKeyFields test constant pins the field count (and the axis table
+// pins Axes's) so adding a Scale dimension without extending this
+// serialization fails the build's tests instead of silently aliasing
+// distinct workloads to one key.
 func writeScaleKey(sb *strings.Builder, s Scale) {
 	fmt.Fprintf(sb, "grid=%dx%d|iu=%d|pt=%d|pg=", s.GridW, s.GridH, s.IdealUpdates, s.PercTrials)
 	writeInts(sb, s.PercGrids)
@@ -66,27 +67,14 @@ func writeScaleKey(sb *strings.Builder, s Scale) {
 	sb.WriteString("|duty=")
 	writeFloats(sb, s.DutySweep)
 	fmt.Fprintf(sb, "|seed=%d", s.Seed)
-	// The protocol field is omitted when empty (= PBBF, the default) so
-	// every key minted before protocols existed stays byte-identical to the
-	// key the same workload derives today. Callers canonicalize "pbbf" to
-	// empty before keying (protocol.Spec.Canonical); a literal "pbbf" here
-	// would mint a second identity for the same computation.
-	if s.Protocol != "" {
-		fmt.Fprintf(sb, "|proto=%s", s.Protocol)
-	}
-	// The energy fields follow the same omit-when-default rule: an
-	// infinite-battery workload (the only kind that existed before finite
-	// energy) keys exactly as it always did.
-	if s.EnergyJ != 0 {
-		fmt.Fprintf(sb, "|energy=%s", strconv.FormatFloat(s.EnergyJ, 'g', -1, 64))
-	}
-	if s.HarvestW != 0 {
-		fmt.Fprintf(sb, "|harvest=%s", strconv.FormatFloat(s.HarvestW, 'g', -1, 64))
-	}
+	// The axes follow, each omitted at its default, so every key minted
+	// before an axis existed stays byte-identical.
+	s.Axes.write(sb, '|', true)
 }
 
-// scaleKeyFields is the number of Scale fields writeScaleKey serializes.
-const scaleKeyFields = 20
+// scaleKeyFields is the number of Scale fields writeScaleKey serializes,
+// counting the embedded Axes as one (the axis table covers its fields).
+const scaleKeyFields = 18
 
 // SplitKey decomposes a canonical PointKey into its three segments: the
 // scenario ID, the scale serialization (everything from the grid field up

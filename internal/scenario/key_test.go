@@ -120,14 +120,36 @@ func TestPointKeyEnergyBackCompat(t *testing.T) {
 	}
 }
 
-// TestScaleKeyCoversEveryField pins the Scale field count: adding a
-// dimension to Scale without extending writeScaleKey would silently alias
-// distinct workloads to one cache/checkpoint key. When this fails, extend
-// writeScaleKey and bump scaleKeyFields together.
+// TestScaleKeyCoversEveryField pins the Scale and Axes field counts:
+// adding a dimension to Scale without extending writeScaleKey, or a field
+// to Axes without a row in the axis table, would silently alias distinct
+// workloads to one cache/checkpoint key. When this fails, extend
+// writeScaleKey and bump scaleKeyFields, or add the axis row.
 func TestScaleKeyCoversEveryField(t *testing.T) {
 	if n := reflect.TypeOf(Scale{}).NumField(); n != scaleKeyFields {
 		t.Fatalf("Scale has %d fields but writeScaleKey serializes %d — extend the key serialization",
 			n, scaleKeyFields)
+	}
+	axes := reflect.TypeOf(Axes{})
+	if n := axes.NumField(); n != len(axisTable) {
+		t.Fatalf("Axes has %d fields but the axis table has %d rows — add the row", n, len(axisTable))
+	}
+	for i, r := range axisTable {
+		if tag := axes.Field(i).Tag.Get("json"); tag != r.JSON+",omitempty" {
+			t.Fatalf("Axes field %s has json tag %q, row %s says %q", axes.Field(i).Name, tag, r.Flag, r.JSON)
+		}
+	}
+}
+
+// TestAxesKeyFreeAtDefaults: PointKey runs on every request of the serving
+// hit path, so the axes it appends must cost no allocation at their
+// defaults.
+func TestAxesKeyFreeAtDefaults(t *testing.T) {
+	var sb strings.Builder
+	sb.Grow(64)
+	a := Quick().Axes
+	if allocs := testing.AllocsPerRun(100, func() { a.write(&sb, '|', true) }); allocs != 0 || sb.Len() != 0 {
+		t.Fatalf("default axes wrote %q with %v allocs", sb.String(), allocs)
 	}
 }
 

@@ -44,23 +44,8 @@ type Scale struct {
 	DutySweep []float64
 	// Seed is the root of every run's randomness.
 	Seed uint64
-	// Protocol selects the broadcast protocol network scenarios simulate
-	// (see internal/protocol). Empty means PBBF, the paper's protocol; the
-	// canonical spelling "pbbf" is folded to empty before a Scale is keyed,
-	// so every pre-protocol cache key, checkpoint, and golden file remains
-	// valid. Scenarios that pin their own protocol (the adaptive-control
-	// family, the cross-protocol comparison) ignore it.
-	Protocol string `json:",omitempty"`
-	// EnergyJ, when positive, gives every node of a network scenario a
-	// finite battery with this mean initial capacity in joules; 0 keeps
-	// the paper's infinite battery. Like Protocol, the zero value is
-	// omitted from keys and checkpoints so every pre-finite-energy
-	// identity remains valid. Scenarios that pin their own energy axis
-	// (the lifetime/harvest families) ignore it.
-	EnergyJ float64 `json:",omitempty"`
-	// HarvestW recharges finite batteries at a constant per-node rate in
-	// watts (requires EnergyJ > 0).
-	HarvestW float64 `json:",omitempty"`
+	// Axes are the run axes (protocol, battery, harvest); see Axes.
+	Axes
 }
 
 // Paper returns the paper's dimensions. A full run of every scenario at
@@ -230,16 +215,7 @@ func (s Scale) Validate() error {
 			return fmt.Errorf("scenario: duty cycle %v outside (0,1]", d)
 		}
 	}
-	if s.EnergyJ < 0 {
-		return fmt.Errorf("scenario: initial energy %v must be non-negative", s.EnergyJ)
-	}
-	if s.HarvestW < 0 {
-		return fmt.Errorf("scenario: harvest rate %v must be non-negative", s.HarvestW)
-	}
-	if s.HarvestW > 0 && s.EnergyJ == 0 {
-		return fmt.Errorf("scenario: harvest rate %v requires a positive initial energy", s.HarvestW)
-	}
-	return nil
+	return s.Axes.Validate()
 }
 
 // SweepRange returns {from, from+step, ..., to} inclusive (within epsilon).

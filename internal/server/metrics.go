@@ -150,12 +150,6 @@ func (s *Server) writeServingMetrics(b *strings.Builder) {
 	fmt.Fprintf(b, "# HELP pbbf_runs_total POST /v1/run requests admitted.\n# TYPE pbbf_runs_total counter\npbbf_runs_total %d\n", s.runs.Load())
 	fmt.Fprintf(b, "# HELP pbbf_points_served_total Result points streamed to clients.\n# TYPE pbbf_points_served_total counter\npbbf_points_served_total %d\n", s.pointsServed.Load())
 
-	cs := s.cacheStats()
-	fmt.Fprintf(b, "# HELP pbbf_cache_hits_total Memory-tier cache hits.\n# TYPE pbbf_cache_hits_total counter\npbbf_cache_hits_total %d\n", cs.Hits)
-	fmt.Fprintf(b, "# HELP pbbf_cache_misses_total Memory-tier cache misses.\n# TYPE pbbf_cache_misses_total counter\npbbf_cache_misses_total %d\n", cs.Misses)
-	fmt.Fprintf(b, "# HELP pbbf_cache_evictions_total Memory-tier LRU evictions.\n# TYPE pbbf_cache_evictions_total counter\npbbf_cache_evictions_total %d\n", cs.Evictions)
-	fmt.Fprintf(b, "# HELP pbbf_cache_entries Memory-tier resident entries.\n# TYPE pbbf_cache_entries gauge\npbbf_cache_entries %d\n", cs.Entries)
-
 	fmt.Fprintf(b, "# HELP pbbf_flight_computes_total Point computations actually run (store misses that led a flight).\n# TYPE pbbf_flight_computes_total counter\npbbf_flight_computes_total %d\n", s.flight.Computes())
 	fmt.Fprintf(b, "# HELP pbbf_flight_joins_total Requests that joined another caller's in-flight computation.\n# TYPE pbbf_flight_joins_total counter\npbbf_flight_joins_total %d\n", s.flight.Joins())
 	fmt.Fprintf(b, "# HELP pbbf_points_inflight Point computations running right now.\n# TYPE pbbf_points_inflight gauge\npbbf_points_inflight %d\n", s.flight.Active())
@@ -234,6 +228,7 @@ func writeStoreMetrics(b *strings.Builder, st store.Stats) {
 		{"pbbf_store_misses_total", "Store lookups missed, by tier.", "counter", func(t store.Stats) uint64 { return t.Misses }},
 		{"pbbf_store_puts_total", "Results written, by tier.", "counter", func(t store.Stats) uint64 { return t.Puts }},
 		{"pbbf_store_entries", "Resident records, by tier.", "gauge", func(t store.Stats) uint64 { return uint64(t.Entries) }},
+		{"pbbf_store_evictions_total", "Records dropped by a capacity bound, by tier.", "counter", func(t store.Stats) uint64 { return t.Evictions }},
 		{"pbbf_store_bytes_written_total", "Record bytes written, by tier.", "counter", func(t store.Stats) uint64 { return t.BytesWritten }},
 		{"pbbf_store_quarantined_total", "Corrupt records quarantined, by tier.", "counter", func(t store.Stats) uint64 { return t.Quarantined }},
 		{"pbbf_store_errors_total", "Store backend errors, by tier.", "counter", func(t store.Stats) uint64 { return t.Errors }},

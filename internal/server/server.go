@@ -99,10 +99,8 @@ type LimitOptions struct {
 }
 
 // Options is the validated server configuration: the registry plus one
-// option struct per concern, following the conflict-rejecting normalized()
-// idiom of netsim.Config. Deprecated flat aliases from the pre-store API
-// are folded in by normalized(); setting both spellings to conflicting
-// values is an error, never a silent preference.
+// option struct per concern. normalized() fills defaults and rejects bad
+// bounds and conflicting settings.
 type Options struct {
 	// Registry holds the scenarios the server can run. Required.
 	Registry *scenario.Registry
@@ -133,33 +131,13 @@ type Options struct {
 	// them only on loopback or otherwise-trusted listeners. Off by
 	// default.
 	EnablePprof bool
-
-	// Deprecated: Cache injects a prebuilt memory cache — the pre-store
-	// API. It conflicts with Results and with non-zero Mem sizing; use
-	// Mem (sizing) or Results (injection) instead.
-	Cache *cache.Cache[scenario.Result]
 }
 
-// Config is the pre-options name of Options.
-//
-// Deprecated: construct Options directly; Config remains so existing
-// callers keep compiling.
-type Config = Options
-
-// normalized folds the deprecated aliases into their option structs,
-// rejects conflicting assignments, and fills defaults — the same pass
-// netsim.Config runs before use, so both spellings behave identically.
+// normalized rejects conflicting or out-of-range settings and fills
+// defaults.
 func (o Options) normalized() (Options, error) {
 	if o.Registry == nil {
 		return o, fmt.Errorf("server: nil registry")
-	}
-	if o.Cache != nil {
-		if o.Results != nil {
-			return o, fmt.Errorf("server: deprecated Cache conflicts with Results")
-		}
-		if o.Mem != (CacheOptions{}) {
-			return o, fmt.Errorf("server: deprecated Cache conflicts with Mem sizing %+v", o.Mem)
-		}
 	}
 	if o.Results != nil && (o.Mem != (CacheOptions{}) || o.Disk != (StoreOptions{})) {
 		return o, fmt.Errorf("server: Results store conflicts with Mem/Disk options")
@@ -213,10 +191,8 @@ func (o Options) buildStore() (results store.Store, memStats func() cache.Stats,
 	if o.Results != nil {
 		return o.Results, nil, nil
 	}
-	var mem *store.Memory
-	if o.Cache != nil {
-		mem = store.WrapCache(o.Cache)
-	} else if mem, err = store.NewMemory(o.Mem.Shards, o.Mem.Entries); err != nil {
+	mem, err := store.NewMemory(o.Mem.Shards, o.Mem.Entries)
+	if err != nil {
 		return nil, nil, err
 	}
 	if o.Disk.Dir == "" {
@@ -537,31 +513,22 @@ type RunRequest struct {
 	// Workers sizes the sweep pool, clamped to the server's maximum;
 	// <= 0 selects the maximum.
 	Workers int `json:"workers"`
-	// Protocol selects the broadcast protocol for network scenarios;
-	// empty means PBBF. See GET /v1/protocols.
-	Protocol string `json:"protocol,omitempty"`
-	// EnergyJ gives every node of a network scenario a finite battery with
-	// this mean initial capacity in joules; 0 (the default) keeps the
-	// paper's infinite battery.
-	EnergyJ float64 `json:"energy_j,omitempty"`
-	// HarvestW recharges finite batteries at a constant per-node rate in
-	// watts (requires energy_j > 0).
-	HarvestW float64 `json:"harvest_w,omitempty"`
+	// Axes are the run axes (protocol, finite battery, harvest rate),
+	// each optional; see scenario.Axes and GET /v1/protocols.
+	scenario.Axes
 }
 
 // Stream line types. Every NDJSON line carries "type" so clients can
 // dispatch without peeking at other fields.
 type runHeader struct {
-	Type       string  `json:"type"` // "run"
-	Experiment string  `json:"experiment"`
-	Scale      string  `json:"scale"`
-	Seed       uint64  `json:"seed"`
-	Protocol   string  `json:"protocol,omitempty"`
-	EnergyJ    float64 `json:"energy_j,omitempty"`
-	HarvestW   float64 `json:"harvest_w,omitempty"`
-	Workers    int     `json:"workers"`
-	Scenarios  int     `json:"scenarios"`
-	Jobs       int     `json:"jobs"`
+	Type       string `json:"type"` // "run"
+	Experiment string `json:"experiment"`
+	Scale      string `json:"scale"`
+	Seed       uint64 `json:"seed"`
+	scenario.Axes
+	Workers   int `json:"workers"`
+	Scenarios int `json:"scenarios"`
+	Jobs      int `json:"jobs"`
 }
 
 type pointLine struct {
@@ -616,16 +583,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if req.Seed != 0 {
 		scale.Seed = req.Seed
 	}
-	if req.Protocol != "" {
-		sp, err := protocol.SpecFor(req.Protocol)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		scale.Protocol = sp.Canonical()
+	if scale.Axes, err = req.Axes.Canonical(); err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
 	}
-	scale.EnergyJ = req.EnergyJ
-	scale.HarvestW = req.HarvestW
 	if err := scale.Validate(); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -675,8 +636,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	writeLine(runHeader{
 		Type: "run", Experiment: req.Experiment, Scale: req.Scale,
-		Seed: scale.Seed, Protocol: scale.Protocol,
-		EnergyJ: scale.EnergyJ, HarvestW: scale.HarvestW,
+		Seed: scale.Seed, Axes: scale.Axes,
 		Workers: workers, Scenarios: len(selected), Jobs: jobs,
 	})
 

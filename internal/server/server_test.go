@@ -58,7 +58,7 @@ func testRegistry(t *testing.T) *scenario.Registry {
 
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
-	srv, err := New(Config{Registry: testRegistry(t)})
+	srv, err := New(Options{Registry: testRegistry(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,6 +122,10 @@ func TestErrorStatusCodes(t *testing.T) {
 		{"POST", "/v1/run", `{"scale":"quick"}`, http.StatusBadRequest, true},                    // missing experiment
 		{"POST", "/v1/run", `{"experiment":"fast","scale":"huge"}`, http.StatusBadRequest, true}, // unknown scale
 		{"POST", "/v1/run", `{"experiment":"nope","scale":"quick"}`, http.StatusNotFound, true},  // unknown scenario
+		{"POST", "/v1/run", `{"experiment":"fast","scale":"quick","protocol":"olaa"}`, http.StatusBadRequest, true},
+		{"POST", "/v1/run", `{"experiment":"fast","scale":"quick","energy_j":-1}`, http.StatusBadRequest, true},
+		{"POST", "/v1/run", `{"experiment":"fast","scale":"quick","energy_j":1e999}`, http.StatusBadRequest, true},
+		{"POST", "/v1/run", `{"experiment":"fast","scale":"quick","harvest_w":0.01}`, http.StatusBadRequest, true},
 	}
 	for _, c := range cases {
 		req, err := http.NewRequest(c.method, ts.URL+c.path, strings.NewReader(c.body))
@@ -291,7 +295,7 @@ func TestRunStreamErrorLine(t *testing.T) {
 			return scenario.Result{}, fmt.Errorf("simulated failure")
 		},
 	})
-	srv, err := New(Config{Registry: reg})
+	srv, err := New(Options{Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,13 +329,13 @@ func TestStatsEndpointShape(t *testing.T) {
 }
 
 func TestNewValidatesConfig(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
+	if _, err := New(Options{}); err == nil {
 		t.Fatal("nil registry accepted")
 	}
 }
 
 func TestGracefulShutdown(t *testing.T) {
-	srv, err := New(Config{Registry: testRegistry(t)})
+	srv, err := New(Options{Registry: testRegistry(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +440,7 @@ func TestWorkEndpointsWithoutCoordinator(t *testing.T) {
 func TestWorkerLifecycleOverHTTP(t *testing.T) {
 	reg := testRegistry(t)
 	coord := dist.NewCoordinator(dist.Config{LeaseTTL: 5 * time.Second})
-	srv, err := New(Config{Registry: reg, Coordinator: coord})
+	srv, err := New(Options{Registry: reg, Coordinator: coord})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -551,7 +555,7 @@ func TestAccessLog(t *testing.T) {
 		mu  sync.Mutex
 		buf bytes.Buffer
 	)
-	srv, err := New(Config{
+	srv, err := New(Options{
 		Registry: testRegistry(t),
 		AccessLog: writerFunc(func(p []byte) (int, error) {
 			mu.Lock()

@@ -26,13 +26,7 @@ func NewMemory(shards, capacity int) (*Memory, error) {
 	return &Memory{c: c}, nil
 }
 
-// WrapCache adapts an existing result cache — the deprecated
-// server.Config.Cache injection path — into a Store.
-func WrapCache(c *cache.Cache[scenario.Result]) *Memory {
-	return &Memory{c: c}
-}
-
-// Get looks the key up in the cache; it never blocks on in-flight entries.
+// Get looks the key up in the cache.
 func (m *Memory) Get(key string) (scenario.Result, bool, error) {
 	res, ok := m.c.Get(key)
 	return res, ok, nil
